@@ -430,10 +430,10 @@ let micro () =
    reduced application scale with fitted per-component growth exponents
    ([scaling]).  The LRC backend additionally runs the gate matrix in
    both protocol configs — "legacy" (per-frame acks, serial unbatched
-   fetching, fixed-rto retransmission) and "batched" — to stay
-   comparable with BENCH_PR3.json; the other backends have no unbatched
-   arm.  Every measured run is checked for wire-byte conservation
-   (components must sum exactly to medium.bytes +
+   fetching, fixed-rto retransmission) and "batched" — so both arms can
+   be compared row for row with the committed BENCH_PR10.json; the other
+   backends have no unbatched arm.  Every measured run is checked for
+   wire-byte conservation (components must sum exactly to medium.bytes +
    datagram.dropped_bytes), and the LRC gate matrix additionally against
    the retransmit gate: on every (app, variant) row, batched wire bytes
    must not exceed legacy wire bytes and batched retransmit bytes must

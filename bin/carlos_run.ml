@@ -257,12 +257,13 @@ let run_tsp opts =
     let sys = make_system ~opts ~backend cfg in
     let p = Tsp.default_params in
     let r = Tsp.run sys variant p in
+    let reference = Tsp.solve_reference p in
     Format.printf "TSP: best tour %d (reference %d), %d nodes visited@."
-      r.Tsp.best (Tsp.solve_reference p) r.Tsp.visited;
+      r.Tsp.best reference r.Tsp.visited;
     finish ~opts ~sys
       ~label:
         (Harness.backend_label ("TSP/" ^ Tsp.variant_name variant) backend)
-      ~ok:(r.Tsp.best = Tsp.solve_reference p)
+      ~ok:(r.Tsp.best = reference)
       r.Tsp.report
 
 let run_qsort opts =

@@ -1,12 +1,16 @@
 (** Run-length encoded page diffs (paper §4.2).
 
-    A diff records the byte ranges of a page that changed relative to its
-    twin, as a list of [(offset, bytes)] runs.  Applying a diff overwrites
-    exactly those ranges, so applying the same diff twice is idempotent and
-    diffs from concurrent writers to disjoint ranges commute — the property
-    the multiple-writer protocol relies on. *)
+    A diff records the maximal byte ranges of a page that changed relative
+    to its twin.  Applying a diff overwrites exactly those ranges, so
+    applying the same diff twice is idempotent and diffs from concurrent
+    writers to disjoint ranges commute — the property the multiple-writer
+    protocol relies on.
 
-type run = { offset : int; data : Bytes.t }
+    The encoding is flat: one buffer holding, in increasing offset order,
+    each run's [(offset, length)] descriptor followed by its bytes, so a
+    diff costs one record and one buffer whatever its run count.  A diff
+    is immutable once created; nodes share diffs by reference (a reply
+    carries the creator's own value). *)
 
 type t
 
@@ -17,7 +21,8 @@ val create : page:int -> twin:Bytes.t -> current:Bytes.t -> t
 (** Which coherent page this diff describes. *)
 val page : t -> int
 
-val runs : t -> run list
+(** Number of runs (maximal changed ranges) the diff carries. *)
+val run_count : t -> int
 
 val is_empty : t -> bool
 

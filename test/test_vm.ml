@@ -70,7 +70,7 @@ let test_diff_roundtrip_simple () =
   Bytes.set current 4 'y';
   Bytes.set current 60 'z';
   let d = Diff.create ~page:0 ~twin ~current in
-  Alcotest.(check int) "two runs" 2 (List.length (Diff.runs d));
+  Alcotest.(check int) "two runs" 2 (Diff.run_count d);
   Alcotest.(check int) "changed" 3 (Diff.changed_bytes d);
   let target = Bytes.copy twin in
   Diff.apply d target;
@@ -130,6 +130,179 @@ let prop_diff_disjoint_writers_commute =
       Diff.apply d2 t21;
       Diff.apply d1 t21;
       Bytes.equal t12 t21 && Bytes.get t12 i = 'A' && Bytes.get t12 j = 'B')
+
+(* Reference model: the list-of-runs encoder the flat encoding replaced,
+   one [(offset, bytes)] pair per maximal differing run. *)
+module Ref_diff = struct
+  let create ~twin ~current =
+    let len = Bytes.length twin in
+    let runs = ref [] and i = ref 0 in
+    while !i < len do
+      if Bytes.get twin !i <> Bytes.get current !i then begin
+        let start = !i in
+        while !i < len && Bytes.get twin !i <> Bytes.get current !i do
+          incr i
+        done;
+        runs := (start, Bytes.sub current start (!i - start)) :: !runs
+      end
+      else incr i
+    done;
+    List.rev !runs
+
+  let apply runs target =
+    List.iter
+      (fun (off, data) -> Bytes.blit data 0 target off (Bytes.length data))
+      runs
+
+  let changed_bytes runs =
+    List.fold_left (fun acc (_, data) -> acc + Bytes.length data) 0 runs
+
+  let size_bytes runs = 8 + (4 * List.length runs) + changed_bytes runs
+end
+
+(* Which bytes of a page a generated writer changes. *)
+type diff_shape = Sparse | Dense | Random | Alternating | Last_byte | Straddle
+
+let shape_name = function
+  | Sparse -> "sparse"
+  | Dense -> "dense"
+  | Random -> "random"
+  | Alternating -> "alternating"
+  | Last_byte -> "last-byte"
+  | Straddle -> "straddle"
+
+let mask_gen len shape =
+  let open QCheck.Gen in
+  let with_probability p =
+    array_size (return len) (map (fun x -> x < p) (float_bound_exclusive 1.0))
+  in
+  match shape with
+  | Sparse -> with_probability 0.05
+  | Dense -> with_probability 0.9
+  | Random -> with_probability 0.5
+  | Alternating ->
+    int_bound 1 >|= fun phase -> Array.init len (fun i -> i mod 2 = phase)
+  | Last_byte -> return (Array.init len (fun i -> i = len - 1))
+  | Straddle ->
+    (* A few runs, each crossing an 8-byte boundary of the page. *)
+    let boundaries = (len - 1) / 8 in
+    if boundaries = 0 then with_probability 0.5
+    else
+      list_size (int_range 1 3)
+        (triple (int_range 1 boundaries) (int_range 1 7) (int_range 1 8))
+      >|= fun runs ->
+      let m = Array.make len false in
+      List.iter
+        (fun (k, before, after) ->
+          for i = (8 * k) - before to min (len - 1) ((8 * k) + after - 1) do
+            m.(i) <- true
+          done)
+        runs;
+      m
+
+(* [current] differs from [twin] exactly where [mask] is set. *)
+let writer_gen twin =
+  let open QCheck.Gen in
+  let len = Bytes.length twin in
+  oneofl [ Sparse; Dense; Random; Alternating; Last_byte; Straddle ]
+  >>= fun shape ->
+  mask_gen len shape >>= fun mask ->
+  array_size (return len) (int_range 1 255) >|= fun flips ->
+  let current =
+    Bytes.mapi
+      (fun i c -> if mask.(i) then Char.chr (Char.code c lxor flips.(i)) else c)
+      twin
+  in
+  (shape, current)
+
+let page_gen len =
+  QCheck.Gen.(map Bytes.of_string (string_size ~gen:char (return len)))
+
+let print_writer twin (shape, current) =
+  Printf.sprintf "%s %s" (shape_name shape)
+    (String.init (Bytes.length twin) (fun i ->
+         if Bytes.get twin i = Bytes.get current i then '.' else 'x'))
+
+let prop_diff_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 300 >>= fun len ->
+      page_gen len >>= fun twin ->
+      writer_gen twin >>= fun w ->
+      page_gen len >|= fun target -> (twin, w, target))
+  in
+  QCheck.Test.make ~name:"diff: flat encoding matches list-of-runs model"
+    ~count:1000
+    (QCheck.make ~print:(fun (twin, w, _) -> print_writer twin w) gen)
+    (fun (twin, (_, current), target) ->
+      let d = Diff.create ~page:0 ~twin ~current in
+      let r = Ref_diff.create ~twin ~current in
+      let got = Bytes.copy target and want = Bytes.copy target in
+      Diff.apply d got;
+      Ref_diff.apply r want;
+      Diff.run_count d = List.length r
+      && Diff.changed_bytes d = Ref_diff.changed_bytes r
+      && Diff.size_bytes d = Ref_diff.size_bytes r
+      && Bytes.equal got want)
+
+let prop_diff_merge_is_sequential_apply =
+  (* Writers over independent twins of one page, so their runs overlap
+     arbitrarily; merging must equal applying them in order. *)
+  let gen =
+    QCheck.Gen.(
+      int_range 1 300 >>= fun len ->
+      list_size (int_range 2 5)
+        (page_gen len >>= fun twin -> writer_gen twin >|= fun w -> (twin, w))
+      >>= fun writers ->
+      page_gen len >|= fun target -> (writers, target))
+  in
+  QCheck.Test.make ~name:"diff: apply (merge ds) = apply ds in order"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (ws, _) ->
+         String.concat "\n"
+           (List.map (fun (twin, w) -> print_writer twin w) ws))
+       gen)
+    (fun (writers, target) ->
+      let ds =
+        List.map
+          (fun (twin, (_, current)) -> Diff.create ~page:3 ~twin ~current)
+          writers
+      in
+      let merged = Diff.merge ds in
+      let got = Bytes.copy target and want = Bytes.copy target in
+      Diff.apply merged got;
+      List.iter (fun d -> Diff.apply d want) ds;
+      Diff.page merged = 3 && Bytes.equal got want)
+
+let test_diff_create_allocation () =
+  (* 1,000 scattered 1-byte runs on a 4 KiB page.  After a warm-up call
+     has sized the per-domain scratch, encoding allocates the result and
+     nothing per run.  Words are counted minor plus direct-major, since
+     a buffer this size skips the minor heap; [Gc.counters] alone misses
+     the minor words of the current minor cycle. *)
+  let len = 4096 and nruns = 1000 in
+  let twin = Bytes.make len '\000' in
+  let current = Bytes.copy twin in
+  for i = 0 to nruns - 1 do
+    Bytes.set current ((4 * i) + (i mod 2)) '\001'
+  done;
+  ignore (Diff.create ~page:0 ~twin ~current);
+  let allocated () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = allocated () in
+  let d = Diff.create ~page:0 ~twin ~current in
+  let words = allocated () -. before in
+  Alcotest.(check int) "runs" nruns (Diff.run_count d);
+  (* The encoding: an 8-byte descriptor and 1 data byte per run, as a
+     bytes block (header + padded payload), plus the 5-word record. *)
+  let result_words = 1 + ((9 * nruns) / 8) + 1 + 5 in
+  let slack = 64 in
+  if words > float_of_int (result_words + slack) then
+    Alcotest.failf "Diff.create allocated %.0f words, bound %d" words
+      (result_words + slack)
 
 (* ------------------------------------------------------------------ *)
 (* Page *)
@@ -348,8 +521,16 @@ let () =
           Alcotest.test_case "idempotent" `Quick test_diff_idempotent;
           Alcotest.test_case "size accounting" `Quick
             test_diff_size_accounting;
+          Alcotest.test_case "create allocates only its result" `Quick
+            test_diff_create_allocation;
         ]
-        @ qcheck [ prop_diff_roundtrip; prop_diff_disjoint_writers_commute ]
+        @ qcheck
+            [
+              prop_diff_roundtrip;
+              prop_diff_disjoint_writers_commute;
+              prop_diff_matches_reference;
+              prop_diff_merge_is_sequential_apply;
+            ]
       );
       ( "page",
         [
